@@ -91,8 +91,8 @@ void BM_Component_MmsFetch(benchmark::State& state) {
   auto s = NewScenario();
   s->DepositReadings(state.range(0)).value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        s->mws().mms().FetchFor(UtilityScenario::kCServices, 0));
+    benchmark::DoNotOptimize(s->mws().mms().FetchChunkFor(
+        UtilityScenario::kCServices, 0, 0, 0, UINT32_MAX));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(3 * state.range(0)) + " stored messages");

@@ -145,6 +145,21 @@ util::Status ReceivingClient::AuthenticateWithPkg(const util::Bytes& token) {
   return util::Status::Ok();
 }
 
+util::Bytes ReceivingClient::KeyDeliveryKey() const {
+  return wire::DeriveChannelKey(pkg_session_key_, cipher_,
+                                "rc-pkg-keydelivery");
+}
+
+util::Result<ibe::IbePrivateKey> ReceivingClient::OpenDeliveredKey(
+    const util::Bytes& channel_key, const util::Bytes& sealed) const {
+  MWS_ASSIGN_OR_RETURN(util::Bytes key_bytes,
+                       crypto::CbcDecrypt(cipher_, channel_key, sealed));
+  MWS_ASSIGN_OR_RETURN(
+      math::EcPoint d,
+      params_.group->curve().DeserializeCompressed(key_bytes));
+  return ibe::IbePrivateKey{d};
+}
+
 util::Result<ibe::IbePrivateKey> ReceivingClient::RequestKey(
     uint64_t aid, const util::Bytes& nonce) {
   if (pkg_session_.empty()) {
@@ -158,17 +173,7 @@ util::Result<ibe::IbePrivateKey> ReceivingClient::RequestKey(
                        transport_->Call("pkg.extract", request.Encode()));
   MWS_ASSIGN_OR_RETURN(wire::KeyResponse response,
                        wire::KeyResponse::Decode(raw));
-
-  util::Bytes channel_key = wire::DeriveChannelKey(pkg_session_key_, cipher_,
-                                                   "rc-pkg-keydelivery");
-  MWS_ASSIGN_OR_RETURN(
-      util::Bytes key_bytes,
-      crypto::CbcDecrypt(cipher_, channel_key,
-                         response.encrypted_private_key));
-  MWS_ASSIGN_OR_RETURN(
-      math::EcPoint d,
-      params_.group->curve().DeserializeCompressed(key_bytes));
-  return ibe::IbePrivateKey{d};
+  return OpenDeliveredKey(KeyDeliveryKey(), response.encrypted_private_key);
 }
 
 util::Result<std::vector<util::Result<ibe::IbePrivateKey>>>
@@ -187,8 +192,7 @@ ReceivingClient::RequestKeysBatch(
   if (response.items.size() != items.size()) {
     return util::Status::Internal("batch response size mismatch");
   }
-  util::Bytes channel_key = wire::DeriveChannelKey(pkg_session_key_, cipher_,
-                                                   "rc-pkg-keydelivery");
+  const util::Bytes channel_key = KeyDeliveryKey();
   std::vector<util::Result<ibe::IbePrivateKey>> out;
   out.reserve(response.items.size());
   for (const wire::KeyBatchResponse::Item& item : response.items) {
@@ -197,17 +201,7 @@ ReceivingClient::RequestKeysBatch(
           "extraction refused: " + util::StringFromBytes(item.payload)));
       continue;
     }
-    auto key_bytes = crypto::CbcDecrypt(cipher_, channel_key, item.payload);
-    if (!key_bytes.ok()) {
-      out.push_back(key_bytes.status());
-      continue;
-    }
-    auto d = params_.group->curve().DeserializeCompressed(key_bytes.value());
-    if (!d.ok()) {
-      out.push_back(d.status());
-      continue;
-    }
-    out.push_back(ibe::IbePrivateKey{d.value()});
+    out.push_back(OpenDeliveredKey(channel_key, item.payload));
   }
   return out;
 }
@@ -259,14 +253,7 @@ util::Result<std::vector<ReceivedMessage>> ReceivingClient::DecryptAll(
       const std::vector<size_t>& indices = group_list[g];
       const ibe::IbePrivateKey& key = keys[indices[0]].value();
       if (indices.size() < 2) {
-        size_t i = indices[0];
-        auto u = params_.group->curve().Deserialize(messages[i].u);
-        if (!u.ok()) {
-          plains[i] = u.status();
-          continue;
-        }
-        plains[i] = sealer_.Open(
-            key, ibe::HybridCiphertext{u.value(), messages[i].ciphertext});
+        plains[indices[0]] = DecryptMessage(messages[indices[0]], key);
         continue;
       }
       // Shared-key group: the Miller lines of e(d, .) depend on d alone,
@@ -325,32 +312,7 @@ util::Result<std::vector<ReceivedMessage>> ReceivingClient::FetchAndDecrypt(
   MWS_ASSIGN_OR_RETURN(wire::RetrieveResponse retrieved,
                        Retrieve(after_id, from_micros, to_micros));
   MWS_RETURN_IF_ERROR(AuthenticateWithPkg(retrieved.token));
-  std::vector<ReceivedMessage> out;
-  out.reserve(retrieved.messages.size());
-  if (retrieved.messages.size() > 1) {
-    // Amortize the PKG round trips: one batched extraction.
-    std::vector<std::pair<uint64_t, util::Bytes>> items;
-    items.reserve(retrieved.messages.size());
-    for (const wire::RetrievedMessage& m : retrieved.messages) {
-      items.emplace_back(m.aid, m.nonce);
-    }
-    MWS_ASSIGN_OR_RETURN(auto keys, RequestKeysBatch(items));
-    for (size_t i = 0; i < retrieved.messages.size(); ++i) {
-      const wire::RetrievedMessage& m = retrieved.messages[i];
-      MWS_RETURN_IF_ERROR(keys[i].status());
-      MWS_ASSIGN_OR_RETURN(util::Bytes plaintext,
-                           DecryptMessage(m, keys[i].value()));
-      out.push_back(
-          ReceivedMessage{m.message_id, m.aid, std::move(plaintext)});
-    }
-    return out;
-  }
-  for (const wire::RetrievedMessage& m : retrieved.messages) {
-    MWS_ASSIGN_OR_RETURN(ibe::IbePrivateKey key, RequestKey(m.aid, m.nonce));
-    MWS_ASSIGN_OR_RETURN(util::Bytes plaintext, DecryptMessage(m, key));
-    out.push_back(ReceivedMessage{m.message_id, m.aid, std::move(plaintext)});
-  }
-  return out;
+  return DecryptAll(retrieved.messages);
 }
 
 util::Result<std::vector<ReceivedMessage>>

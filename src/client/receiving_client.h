@@ -95,7 +95,8 @@ class ReceivingClient {
   // --- Whole pipeline ---
 
   /// Runs all steps and returns every readable message after `after_id`
-  /// (optionally restricted to a deposit-timestamp window).
+  /// (optionally restricted to a deposit-timestamp window): Retrieve,
+  /// then DecryptAll.
   util::Result<std::vector<ReceivedMessage>> FetchAndDecrypt(
       uint64_t after_id = 0, int64_t from_micros = 0,
       int64_t to_micros = 0);
@@ -114,6 +115,13 @@ class ReceivingClient {
   bool HasPkgSession() const { return !pkg_session_.empty(); }
 
  private:
+  /// SecK_RC-PKG's key-delivery channel key. Pre: PKG session.
+  util::Bytes KeyDeliveryKey() const;
+  /// Opens one key-delivery payload: CBC-decrypts it under
+  /// `channel_key` and decodes the point sI.
+  util::Result<ibe::IbePrivateKey> OpenDeliveredKey(
+      const util::Bytes& channel_key, const util::Bytes& sealed) const;
+
   std::string identity_;
   util::Bytes password_hash_;
   crypto::RsaKeyPair rsa_keys_;

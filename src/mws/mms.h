@@ -31,15 +31,7 @@ class MessageManagementSystem {
   util::Result<std::vector<store::PolicyRow>> GrantsFor(
       const std::string& rc_identity) const;
 
-  /// Records visible to `rc_identity` with id > after_id, attribute field
-  /// replaced by the RC's AID for that attribute. A non-empty
-  /// [from_micros, to_micros) window additionally restricts results to
-  /// deposit timestamps in that range (billing-period queries).
-  util::Result<std::vector<wire::RetrievedMessage>> FetchFor(
-      const std::string& rc_identity, uint64_t after_id,
-      int64_t from_micros = 0, int64_t to_micros = 0) const;
-
-  /// One bounded slice of FetchFor: at most `max_messages` records.
+  /// One bounded slice of the records visible to an RC.
   struct Chunk {
     std::vector<wire::RetrievedMessage> messages;
     /// More matching records exist beyond this chunk.
@@ -49,12 +41,16 @@ class MessageManagementSystem {
     uint64_t next_after_id = 0;
   };
 
-  /// Like FetchFor but bounded: ranks the *ids* matching the RC's grants
-  /// (a key-only index walk — no ciphertext is materialized for messages
-  /// beyond the chunk), then fetches only the `max_messages` smallest.
-  /// Iterating until !has_more yields exactly FetchFor's result, in the
-  /// same order, as long as `after_id` is threaded through. Pre:
-  /// max_messages > 0.
+  /// Records visible to `rc_identity` with id > after_id, in id order,
+  /// attribute field replaced by the RC's AID for that attribute; at
+  /// most `max_messages` of them. A non-empty [from_micros, to_micros)
+  /// window additionally restricts results to deposit timestamps in
+  /// that range (billing-period queries). Ranks the *ids* matching the
+  /// RC's grants first (a key-only index walk — no ciphertext is
+  /// materialized for messages beyond the chunk), then fetches only the
+  /// `max_messages` smallest. Iterating until !has_more, threading
+  /// `after_id` through, yields the same records as one call with an
+  /// unbounded budget (UINT32_MAX). Pre: max_messages > 0.
   util::Result<Chunk> FetchChunkFor(const std::string& rc_identity,
                                     uint64_t after_id, int64_t from_micros,
                                     int64_t to_micros,

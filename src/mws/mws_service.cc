@@ -32,12 +32,16 @@ MwsService::MwsService(store::Table* storage, util::Bytes mws_pkg_key,
                   options.tuning),
       mms_(&message_db_, &policy_db_),
       token_generator_(std::move(mws_pkg_key), options.cipher, clock, &rng_,
-                       options.ticket_lifetime_micros) {
-  deposit_obs_ = ResolveOp("deposit");
-  auth_obs_ = ResolveOp("auth");
-  retrieve_obs_ = ResolveOp("retrieve");
-  deposit_batch_obs_ = ResolveOp("deposit_batch");
-  retrieve_chunk_obs_ = ResolveOp("retrieve_chunk");
+                       options.ticket_lifetime_micros),
+      deposit_obs_(obs::OpInstruments::Resolve(options.metrics, "mws",
+                                               "deposit")),
+      auth_obs_(obs::OpInstruments::Resolve(options.metrics, "mws", "auth")),
+      retrieve_obs_(obs::OpInstruments::Resolve(options.metrics, "mws",
+                                                "retrieve")),
+      deposit_batch_obs_(obs::OpInstruments::Resolve(options.metrics, "mws",
+                                                     "deposit_batch")),
+      retrieve_chunk_obs_(obs::OpInstruments::Resolve(
+          options.metrics, "mws", "retrieve_chunk")) {
   if (options_.metrics != nullptr) {
     deposit_batch_size_ =
         options_.metrics->GetHistogram("mws.batch_size", {{"op", "deposit_batch"}});
@@ -47,27 +51,6 @@ MwsService::MwsService(store::Table* storage, util::Bytes mws_pkg_key,
         "mws.batch_item_us", {{"op", "deposit_batch"}});
   }
 }
-
-MwsService::OpInstruments MwsService::ResolveOp(const char* op) {
-  OpInstruments out;
-  if (options_.metrics == nullptr) return out;
-  out.requests = options_.metrics->GetCounter("mws.requests", {{"op", op}});
-  out.errors = options_.metrics->GetCounter("mws.errors", {{"op", op}});
-  out.latency = options_.metrics->GetHistogram("mws.latency_us", {{"op", op}});
-  return out;
-}
-
-namespace {
-
-/// Success/failure accounting shared by the three protocol ops.
-template <typename ResultT>
-void CountOutcome(const ResultT& result, obs::Counter* requests,
-                  obs::Counter* errors) {
-  if (requests != nullptr) requests->Increment();
-  if (errors != nullptr && !result.ok()) errors->Increment();
-}
-
-}  // namespace
 
 util::Status MwsService::RegisterDevice(const std::string& device_id,
                                         const util::Bytes& mac_key) {
@@ -123,82 +106,25 @@ util::Result<size_t> MwsService::PruneMessagesThrough(uint64_t max_id) {
   return message_db_.PruneThrough(max_id);
 }
 
-util::Result<wire::DepositResponse> MwsService::Deposit(
-    const wire::DepositRequest& request) {
-  obs::ScopedTimer timer(deposit_obs_.latency);
-  obs::Span span = obs::Tracer::MaybeStartTrace(options_.tracer, "mws.deposit");
-  util::Result<wire::DepositResponse> result = DepositImpl(request, span);
-  CountOutcome(result, deposit_obs_.requests, deposit_obs_.errors);
-  return result;
-}
+util::Result<std::vector<util::Result<store::MessageDb::AppendOutcome>>>
+MwsService::DepositItems(std::span<const wire::DepositRequest> items,
+                         obs::Span& span) {
+  std::vector<util::Result<store::MessageDb::AppendOutcome>> outcomes(
+      items.size(), util::Status::Internal("not appended"));
 
-util::Result<wire::DepositResponse> MwsService::DepositImpl(
-    const wire::DepositRequest& request, obs::Span& span) {
+  // Per-item admission: a bad MAC or attribute rejects that item only.
+  // Valid items proceed to one grouped append.
+  std::vector<store::StoredMessage> valid;
+  std::vector<size_t> valid_index;  // position of valid[i] in `items`
+  valid.reserve(items.size());
   {
     obs::Span verify = span.Child("sda.verify");
-    MWS_RETURN_IF_ERROR(sda_.Verify(request));
-  }
-  MWS_RETURN_IF_ERROR(ibe::ValidateAttribute(request.attribute));
-  store::StoredMessage m;
-  m.u = request.u;
-  m.ciphertext = request.ciphertext;
-  m.attribute = request.attribute;
-  m.nonce = request.nonce;
-  m.device_id = request.device_id;
-  m.timestamp_micros = request.timestamp_micros;
-  // At-least-once delivery: a device whose ack was lost retransmits the
-  // identical deposit, so dedupe by (ID_SD, nonce) instead of storing twice.
-  obs::Span append = span.Child("md.append");
-  MWS_ASSIGN_OR_RETURN(store::MessageDb::AppendOutcome outcome,
-                       message_db_.AppendDeduped(m));
-  return wire::DepositResponse{outcome.id};
-}
-
-util::Result<wire::DepositBatchResponse> MwsService::DepositBatch(
-    const wire::DepositBatchRequest& request) {
-  const int64_t start_us = obs::SteadyNowMicros();
-  obs::Span span =
-      obs::Tracer::MaybeStartTrace(options_.tracer, "mws.deposit_batch");
-  util::Result<wire::DepositBatchResponse> result =
-      DepositBatchImpl(request, span);
-  CountOutcome(result, deposit_batch_obs_.requests, deposit_batch_obs_.errors);
-  const uint64_t elapsed_us =
-      static_cast<uint64_t>(obs::SteadyNowMicros() - start_us);
-  if (deposit_batch_obs_.latency != nullptr) {
-    deposit_batch_obs_.latency->Record(elapsed_us);
-  }
-  if (deposit_batch_size_ != nullptr) {
-    deposit_batch_size_->Record(request.items.size());
-  }
-  if (deposit_batch_item_us_ != nullptr && !request.items.empty()) {
-    // Amortized cost of one message inside the batch — the number the
-    // batch path exists to shrink (compare against mws.latency_us{op=
-    // deposit}).
-    deposit_batch_item_us_->Record(elapsed_us / request.items.size());
-  }
-  return result;
-}
-
-util::Result<wire::DepositBatchResponse> MwsService::DepositBatchImpl(
-    const wire::DepositBatchRequest& request, obs::Span& span) {
-  wire::DepositBatchResponse response;
-  response.items.resize(request.items.size());
-
-  // Per-item admission: a bad MAC or attribute rejects that item only,
-  // exactly as N independent Deposits would. Valid items proceed to one
-  // grouped append.
-  std::vector<store::StoredMessage> valid;
-  std::vector<size_t> valid_index;  // position of valid[i] in the request
-  valid.reserve(request.items.size());
-  {
-    obs::Span verify = span.Child("sda.verify_batch");
-    for (size_t i = 0; i < request.items.size(); ++i) {
-      const wire::DepositRequest& item = request.items[i];
+    for (size_t i = 0; i < items.size(); ++i) {
+      const wire::DepositRequest& item = items[i];
       util::Status admitted = sda_.Verify(item);
       if (admitted.ok()) admitted = ibe::ValidateAttribute(item.attribute);
       if (!admitted.ok()) {
-        response.items[i].ok = false;
-        response.items[i].error = wire::EncodeWireError(admitted);
+        outcomes[i] = std::move(admitted);
         continue;
       }
       store::StoredMessage m;
@@ -214,81 +140,105 @@ util::Result<wire::DepositBatchResponse> MwsService::DepositBatchImpl(
   }
 
   if (!valid.empty()) {
-    obs::Span append = span.Child("md.append_batch");
-    MWS_ASSIGN_OR_RETURN(std::vector<store::MessageDb::AppendOutcome> outcomes,
+    // At-least-once delivery: a device whose ack was lost retransmits
+    // the identical deposit, so the store dedupes by (ID_SD, nonce)
+    // instead of storing twice.
+    obs::Span append = span.Child("md.append");
+    MWS_ASSIGN_OR_RETURN(std::vector<store::MessageDb::AppendOutcome> appended,
                          message_db_.AppendDedupedBatch(valid));
-    for (size_t v = 0; v < outcomes.size(); ++v) {
-      response.items[valid_index[v]].ok = true;
-      response.items[valid_index[v]].message_id = outcomes[v].id;
-      response.items[valid_index[v]].deduplicated = outcomes[v].deduplicated;
+    for (size_t v = 0; v < appended.size(); ++v) {
+      outcomes[valid_index[v]] = appended[v];
     }
   }
-  return response;
+  return outcomes;
+}
+
+util::Result<wire::DepositResponse> MwsService::Deposit(
+    const wire::DepositRequest& request) {
+  return deposit_obs_.Run(
+      options_.tracer,
+      [&](obs::Span& span) -> util::Result<wire::DepositResponse> {
+        MWS_ASSIGN_OR_RETURN(auto outcomes, DepositItems({&request, 1}, span));
+        MWS_ASSIGN_OR_RETURN(store::MessageDb::AppendOutcome outcome,
+                             std::move(outcomes.front()));
+        return wire::DepositResponse{outcome.id};
+      });
+}
+
+util::Result<wire::DepositBatchResponse> MwsService::DepositBatch(
+    const wire::DepositBatchRequest& request) {
+  const int64_t start_us = obs::SteadyNowMicros();
+  util::Result<wire::DepositBatchResponse> result = deposit_batch_obs_.Run(
+      options_.tracer,
+      [&](obs::Span& span) -> util::Result<wire::DepositBatchResponse> {
+        MWS_ASSIGN_OR_RETURN(auto outcomes,
+                             DepositItems(request.items, span));
+        wire::DepositBatchResponse response;
+        response.items.resize(outcomes.size());
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+          wire::DepositBatchResponse::Item& item = response.items[i];
+          if (!outcomes[i].ok()) {
+            item.error = wire::EncodeWireError(outcomes[i].status());
+            continue;
+          }
+          item.ok = true;
+          item.message_id = outcomes[i]->id;
+          item.deduplicated = outcomes[i]->deduplicated;
+        }
+        return response;
+      });
+  if (deposit_batch_size_ != nullptr) {
+    deposit_batch_size_->Record(request.items.size());
+  }
+  if (deposit_batch_item_us_ != nullptr && !request.items.empty()) {
+    // Amortized cost of one message inside the batch — the number the
+    // batch path exists to shrink (compare against mws.latency_us{op=
+    // deposit}).
+    const uint64_t elapsed_us =
+        static_cast<uint64_t>(obs::SteadyNowMicros() - start_us);
+    deposit_batch_item_us_->Record(elapsed_us / request.items.size());
+  }
+  return result;
 }
 
 util::Result<wire::RcAuthResponse> MwsService::Authenticate(
     const wire::RcAuthRequest& request) {
-  obs::ScopedTimer timer(auth_obs_.latency);
-  obs::Span span = obs::Tracer::MaybeStartTrace(options_.tracer, "mws.auth");
-  util::Result<wire::RcAuthResponse> result = [&] {
+  return auth_obs_.Run(options_.tracer, [&](obs::Span& span) {
     obs::Span child = span.Child("gatekeeper.auth");
     return gatekeeper_.Authenticate(request);
-  }();
-  CountOutcome(result, auth_obs_.requests, auth_obs_.errors);
-  return result;
+  });
 }
 
 util::Result<wire::RetrieveResponse> MwsService::Retrieve(
     const wire::RetrieveRequest& request) {
-  obs::ScopedTimer timer(retrieve_obs_.latency);
-  obs::Span span =
-      obs::Tracer::MaybeStartTrace(options_.tracer, "mws.retrieve");
-  util::Result<wire::RetrieveResponse> result = RetrieveImpl(request, span);
-  CountOutcome(result, retrieve_obs_.requests, retrieve_obs_.errors);
-  return result;
-}
-
-util::Result<wire::RetrieveResponse> MwsService::RetrieveImpl(
-    const wire::RetrieveRequest& request, obs::Span& span) {
-  RcSession session;
-  {
-    obs::Span lookup = span.Child("gatekeeper.session");
-    MWS_ASSIGN_OR_RETURN(session, gatekeeper_.GetSession(request.session_id));
-  }
-  wire::RetrieveResponse response;
-  {
-    obs::Span fetch = span.Child("mms.fetch");
-    MWS_ASSIGN_OR_RETURN(
-        response.messages,
-        mms_.FetchFor(session.rc_identity, request.after_message_id,
-                      request.from_micros, request.to_micros));
-  }
-  obs::Span token = span.Child("tg.token");
-  MWS_ASSIGN_OR_RETURN(std::vector<store::PolicyRow> grants,
-                       mms_.GrantsFor(session.rc_identity));
-  MWS_ASSIGN_OR_RETURN(
-      response.token,
-      token_generator_.IssueToken(session.rc_identity,
-                                  session.rsa_public_key, grants));
-  return response;
+  return retrieve_obs_.Run(
+      options_.tracer,
+      [&](obs::Span& span) -> util::Result<wire::RetrieveResponse> {
+        wire::RetrieveChunkRequest unbounded;
+        unbounded.session_id = request.session_id;
+        unbounded.after_message_id = request.after_message_id;
+        unbounded.from_micros = request.from_micros;
+        unbounded.to_micros = request.to_micros;
+        unbounded.max_messages = UINT32_MAX;
+        MWS_ASSIGN_OR_RETURN(wire::RetrieveChunkResponse chunk,
+                             RetrieveItems(unbounded, span));
+        return wire::RetrieveResponse{std::move(chunk.messages),
+                                      std::move(chunk.token)};
+      });
 }
 
 util::Result<wire::RetrieveChunkResponse> MwsService::RetrieveChunk(
     const wire::RetrieveChunkRequest& request) {
-  obs::ScopedTimer timer(retrieve_chunk_obs_.latency);
-  obs::Span span =
-      obs::Tracer::MaybeStartTrace(options_.tracer, "mws.retrieve_chunk");
-  util::Result<wire::RetrieveChunkResponse> result =
-      RetrieveChunkImpl(request, span);
-  CountOutcome(result, retrieve_chunk_obs_.requests,
-               retrieve_chunk_obs_.errors);
+  util::Result<wire::RetrieveChunkResponse> result = retrieve_chunk_obs_.Run(
+      options_.tracer,
+      [&](obs::Span& span) { return RetrieveItems(request, span); });
   if (retrieve_chunk_size_ != nullptr && result.ok()) {
     retrieve_chunk_size_->Record(result.value().messages.size());
   }
   return result;
 }
 
-util::Result<wire::RetrieveChunkResponse> MwsService::RetrieveChunkImpl(
+util::Result<wire::RetrieveChunkResponse> MwsService::RetrieveItems(
     const wire::RetrieveChunkRequest& request, obs::Span& span) {
   if (request.max_messages == 0) {
     return util::Status::InvalidArgument("max_messages must be positive");
@@ -300,7 +250,7 @@ util::Result<wire::RetrieveChunkResponse> MwsService::RetrieveChunkImpl(
   }
   wire::RetrieveChunkResponse response;
   {
-    obs::Span fetch = span.Child("mms.fetch_chunk");
+    obs::Span fetch = span.Child("mms.fetch");
     MWS_ASSIGN_OR_RETURN(
         MessageManagementSystem::Chunk chunk,
         mms_.FetchChunkFor(session.rc_identity, request.after_message_id,
@@ -325,51 +275,13 @@ util::Result<wire::RetrieveChunkResponse> MwsService::RetrieveChunkImpl(
 }
 
 void MwsService::RegisterEndpoints(wire::InProcessTransport* transport) {
-  transport->Register(
-      "mws.deposit",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::DepositRequest request,
-                             wire::DepositRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::DepositResponse response,
-                             Deposit(request));
-        return response.Encode();
-      });
-  transport->Register(
-      "mws.auth",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::RcAuthRequest request,
-                             wire::RcAuthRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::RcAuthResponse response,
-                             Authenticate(request));
-        return response.Encode();
-      });
-  transport->Register(
-      "mws.retrieve",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::RetrieveRequest request,
-                             wire::RetrieveRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::RetrieveResponse response,
-                             Retrieve(request));
-        return response.Encode();
-      });
-  transport->Register(
-      "mws.deposit_batch",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::DepositBatchRequest request,
-                             wire::DepositBatchRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::DepositBatchResponse response,
-                             DepositBatch(request));
-        return response.Encode();
-      });
-  transport->Register(
-      "mws.retrieve_chunk",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::RetrieveChunkRequest request,
-                             wire::RetrieveChunkRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::RetrieveChunkResponse response,
-                             RetrieveChunk(request));
-        return response.Encode();
-      });
+  transport->RegisterMethod("mws.deposit", this, &MwsService::Deposit);
+  transport->RegisterMethod("mws.auth", this, &MwsService::Authenticate);
+  transport->RegisterMethod("mws.retrieve", this, &MwsService::Retrieve);
+  transport->RegisterMethod("mws.deposit_batch", this,
+                            &MwsService::DepositBatch);
+  transport->RegisterMethod("mws.retrieve_chunk", this,
+                            &MwsService::RetrieveChunk);
 }
 
 }  // namespace mws::mws

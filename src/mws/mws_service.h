@@ -2,11 +2,13 @@
 #define MWSIBE_MWS_MWS_SERVICE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "src/mws/gatekeeper.h"
 #include "src/mws/mms.h"
 #include "src/obs/metrics.h"
+#include "src/obs/op.h"
 #include "src/obs/trace.h"
 #include "src/mws/sda.h"
 #include "src/mws/token_generator.h"
@@ -116,6 +118,8 @@ class MwsService {
   // --- Protocol operations (Fig. 4 phases 1 and 2) ---
 
   /// SD–MWS phase: authenticate the device, verify integrity, store.
+  /// A batch of one through the DepositBatch core; the item's own
+  /// Status is returned on rejection.
   util::Result<wire::DepositResponse> Deposit(
       const wire::DepositRequest& request);
 
@@ -134,6 +138,7 @@ class MwsService {
       const wire::RcAuthRequest& request);
 
   /// MWS–RC phase, step 2: fetch matching records + a fresh PKG token.
+  /// RetrieveChunk's core with an unbounded budget.
   util::Result<wire::RetrieveResponse> Retrieve(
       const wire::RetrieveRequest& request);
 
@@ -160,21 +165,15 @@ class MwsService {
   const MwsOptions& options() const { return options_; }
 
  private:
-  /// Per-op instrument triple; all null when metrics are disabled.
-  struct OpInstruments {
-    obs::Counter* requests = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Histogram* latency = nullptr;
-  };
-  OpInstruments ResolveOp(const char* op);
+  /// Core of Deposit and DepositBatch: admits each item (device MAC,
+  /// freshness, attribute grammar) and appends the admitted ones through
+  /// one MessageDb::AppendDedupedBatch. One outcome per item, in order;
+  /// only a storage failure fails the whole call.
+  util::Result<std::vector<util::Result<store::MessageDb::AppendOutcome>>>
+  DepositItems(std::span<const wire::DepositRequest> items, obs::Span& span);
 
-  util::Result<wire::DepositResponse> DepositImpl(
-      const wire::DepositRequest& request, obs::Span& span);
-  util::Result<wire::RetrieveResponse> RetrieveImpl(
-      const wire::RetrieveRequest& request, obs::Span& span);
-  util::Result<wire::DepositBatchResponse> DepositBatchImpl(
-      const wire::DepositBatchRequest& request, obs::Span& span);
-  util::Result<wire::RetrieveChunkResponse> RetrieveChunkImpl(
+  /// Core of Retrieve and RetrieveChunk.
+  util::Result<wire::RetrieveChunkResponse> RetrieveItems(
       const wire::RetrieveChunkRequest& request, obs::Span& span);
 
   MwsOptions options_;
@@ -190,11 +189,11 @@ class MwsService {
   MessageManagementSystem mms_;
   TokenGenerator token_generator_;
 
-  OpInstruments deposit_obs_;
-  OpInstruments auth_obs_;
-  OpInstruments retrieve_obs_;
-  OpInstruments deposit_batch_obs_;
-  OpInstruments retrieve_chunk_obs_;
+  obs::OpInstruments deposit_obs_;
+  obs::OpInstruments auth_obs_;
+  obs::OpInstruments retrieve_obs_;
+  obs::OpInstruments deposit_batch_obs_;
+  obs::OpInstruments retrieve_chunk_obs_;
   /// Items per DepositBatch / messages per RetrieveChunk
   /// (`mws.batch_size{op=...}`); null when metrics are disabled.
   obs::Histogram* deposit_batch_size_ = nullptr;

@@ -29,9 +29,11 @@ PkgService::PkgService(const math::TypeAParams& group,
   auto setup = ibe_.Setup(*rng);
   params_ = setup.first;
   master_ = setup.second;
-  auth_obs_ = ResolveOp("auth");
-  extract_obs_ = ResolveOp("extract");
-  batch_obs_ = ResolveOp("extract_batch");
+  auth_obs_ = obs::OpInstruments::Resolve(options_.metrics, "pkg", "auth");
+  extract_obs_ =
+      obs::OpInstruments::Resolve(options_.metrics, "pkg", "extract");
+  batch_obs_ =
+      obs::OpInstruments::Resolve(options_.metrics, "pkg", "extract_batch");
   if (options_.metrics != nullptr) {
     batch_items_counter_ = options_.metrics->GetCounter("pkg.batch_items");
     sessions_gauge_ = options_.metrics->GetGauge("pkg.sessions");
@@ -55,34 +57,10 @@ size_t PkgService::SweepExpiredSessions() {
   return removed;
 }
 
-PkgService::OpInstruments PkgService::ResolveOp(const char* op) {
-  OpInstruments out;
-  if (options_.metrics == nullptr) return out;
-  out.requests = options_.metrics->GetCounter("pkg.requests", {{"op", op}});
-  out.errors = options_.metrics->GetCounter("pkg.errors", {{"op", op}});
-  out.latency = options_.metrics->GetHistogram("pkg.latency_us", {{"op", op}});
-  return out;
-}
-
-namespace {
-
-/// Success/failure accounting shared by the protocol ops.
-template <typename ResultT>
-void CountOutcome(const ResultT& result, obs::Counter* requests,
-                  obs::Counter* errors) {
-  if (requests != nullptr) requests->Increment();
-  if (errors != nullptr && !result.ok()) errors->Increment();
-}
-
-}  // namespace
-
 util::Result<wire::PkgAuthResponse> PkgService::Authenticate(
     const wire::PkgAuthRequest& request) {
-  obs::ScopedTimer timer(auth_obs_.latency);
-  obs::Span span = obs::Tracer::MaybeStartTrace(options_.tracer, "pkg.auth");
-  util::Result<wire::PkgAuthResponse> result = AuthenticateImpl(request);
-  CountOutcome(result, auth_obs_.requests, auth_obs_.errors);
-  return result;
+  return auth_obs_.Run(options_.tracer,
+                       [&](obs::Span&) { return AuthenticateImpl(request); });
 }
 
 util::Result<wire::PkgAuthResponse> PkgService::AuthenticateImpl(
@@ -184,106 +162,84 @@ util::Result<PkgSession> PkgService::GetSession(
   return *std::move(session);
 }
 
-util::Result<util::Bytes> PkgService::ExtractSealed(
-    const PkgSession& session, uint64_t aid, const util::Bytes& nonce) {
-  auto it = session.aid_attributes.find(aid);
-  if (it == session.aid_attributes.end()) {
-    // The AID is not in the RC's ticket: either never granted or revoked
-    // before the ticket was issued.
-    return util::Status::PermissionDenied(
-        "AID not authorized by ticket: " + std::to_string(aid));
-  }
-  // "PKG replaces AID with A to obtain A||Nonce ... and sends back sI."
-  util::Bytes identity =
-      ibe::DeriveIdentity(it->second, ibe::MessageNonce{nonce});
-  ibe::IbePrivateKey key = ibe_.Extract(master_, identity);
-  util::Bytes key_bytes = ibe_.group().curve().SerializeCompressed(key.d);
-
-  util::Bytes channel_key = wire::DeriveChannelKey(
-      session.session_key, options_.cipher, "rc-pkg-keydelivery");
-  return crypto::CbcEncrypt(options_.cipher, channel_key, key_bytes, rng_);
-}
-
-util::Result<wire::KeyResponse> PkgService::ExtractKey(
-    const wire::KeyRequest& request) {
-  obs::ScopedTimer timer(extract_obs_.latency);
-  obs::Span span =
-      obs::Tracer::MaybeStartTrace(options_.tracer, "pkg.extract");
-  util::Result<wire::KeyResponse> result =
-      [&]() -> util::Result<wire::KeyResponse> {
-    MWS_ASSIGN_OR_RETURN(PkgSession session, GetSession(request.session_id));
-    obs::Span extract = span.Child("ibe.extract_seal");
-    MWS_ASSIGN_OR_RETURN(util::Bytes sealed,
-                         ExtractSealed(session, request.aid, request.nonce));
-    return wire::KeyResponse{std::move(sealed)};
-  }();
-  CountOutcome(result, extract_obs_.requests, extract_obs_.errors);
-  return result;
-}
-
-util::Result<wire::KeyBatchResponse> PkgService::ExtractKeyBatch(
-    const wire::KeyBatchRequest& request) {
-  obs::ScopedTimer timer(batch_obs_.latency);
-  obs::Span span =
-      obs::Tracer::MaybeStartTrace(options_.tracer, "pkg.extract_batch");
-  if (batch_obs_.requests != nullptr) {
-    batch_obs_.requests->Increment();
-    batch_items_counter_->Increment(request.items.size());
-  }
-  auto counted_session = GetSession(request.session_id);
-  if (!counted_session.ok()) {
-    if (batch_obs_.errors != nullptr) batch_obs_.errors->Increment();
-    return counted_session.status();
-  }
-  PkgSession session = std::move(counted_session).value();
-  wire::KeyBatchResponse response;
-  response.items.resize(request.items.size());
+util::Result<std::vector<util::Result<util::Bytes>>> PkgService::ExtractItems(
+    const util::Bytes& session_id,
+    std::span<const std::pair<uint64_t, util::Bytes>> items,
+    obs::Span& span) {
+  MWS_ASSIGN_OR_RETURN(PkgSession session, GetSession(session_id));
+  obs::Span extract = span.Child("ibe.extract_seal");
+  std::vector<util::Result<util::Bytes>> out(
+      items.size(), util::Status::Internal("not extracted"));
 
   // Authorization + identity hashing per item; the scalar
   // multiplications of every authorized item then run as ONE
-  // BfIbe::ExtractBatch call, so the batch pays a single shared field
-  // inversion for all affine normalizations instead of one per key.
+  // BfIbe::ExtractBatch call.
   std::vector<math::EcPoint> points;
-  std::vector<size_t> point_index;  // position of points[i] in the request
-  points.reserve(request.items.size());
-  {
-    obs::Span hash = span.Child("ibe.hash_batch");
-    for (size_t i = 0; i < request.items.size(); ++i) {
-      const auto& [aid, nonce] = request.items[i];
-      auto it = session.aid_attributes.find(aid);
-      if (it == session.aid_attributes.end()) {
-        util::Status denied = util::Status::PermissionDenied(
-            "AID not authorized by ticket: " + std::to_string(aid));
-        response.items[i].ok = false;
-        response.items[i].payload = util::BytesFromString(denied.ToString());
-        continue;
-      }
-      util::Bytes identity =
-          ibe::DeriveIdentity(it->second, ibe::MessageNonce{nonce});
-      points.push_back(ibe_.HashToPoint(identity));
-      point_index.push_back(i);
+  std::vector<size_t> point_index;  // position of points[i] in `items`
+  points.reserve(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const auto& [aid, nonce] = items[i];
+    auto it = session.aid_attributes.find(aid);
+    if (it == session.aid_attributes.end()) {
+      // The AID is not in the RC's ticket: either never granted or
+      // revoked before the ticket was issued.
+      out[i] = util::Status::PermissionDenied(
+          "AID not authorized by ticket: " + std::to_string(aid));
+      continue;
     }
+    // "PKG replaces AID with A to obtain A||Nonce ... and sends back sI."
+    util::Bytes identity =
+        ibe::DeriveIdentity(it->second, ibe::MessageNonce{nonce});
+    points.push_back(ibe_.HashToPoint(identity));
+    point_index.push_back(i);
   }
 
-  obs::Span extract = span.Child("ibe.extract_batch_seal");
   std::vector<ibe::IbePrivateKey> keys = ibe_.ExtractBatch(master_, points);
   util::Bytes channel_key = wire::DeriveChannelKey(
       session.session_key, options_.cipher, "rc-pkg-keydelivery");
   for (size_t k = 0; k < keys.size(); ++k) {
     util::Bytes key_bytes =
         ibe_.group().curve().SerializeCompressed(keys[k].d);
-    auto sealed =
+    out[point_index[k]] =
         crypto::CbcEncrypt(options_.cipher, channel_key, key_bytes, rng_);
-    wire::KeyBatchResponse::Item& item = response.items[point_index[k]];
-    if (sealed.ok()) {
-      item.ok = true;
-      item.payload = std::move(sealed).value();
-    } else {
-      item.ok = false;
-      item.payload = util::BytesFromString(sealed.status().ToString());
-    }
   }
-  return response;
+  return out;
+}
+
+util::Result<wire::KeyResponse> PkgService::ExtractKey(
+    const wire::KeyRequest& request) {
+  return extract_obs_.Run(
+      options_.tracer, [&](obs::Span& span) -> util::Result<wire::KeyResponse> {
+        const std::pair<uint64_t, util::Bytes> item{request.aid,
+                                                    request.nonce};
+        MWS_ASSIGN_OR_RETURN(auto sealed,
+                             ExtractItems(request.session_id, {&item, 1}, span));
+        MWS_ASSIGN_OR_RETURN(util::Bytes key, std::move(sealed.front()));
+        return wire::KeyResponse{std::move(key)};
+      });
+}
+
+util::Result<wire::KeyBatchResponse> PkgService::ExtractKeyBatch(
+    const wire::KeyBatchRequest& request) {
+  if (batch_items_counter_ != nullptr) {
+    batch_items_counter_->Increment(request.items.size());
+  }
+  return batch_obs_.Run(
+      options_.tracer,
+      [&](obs::Span& span) -> util::Result<wire::KeyBatchResponse> {
+        MWS_ASSIGN_OR_RETURN(
+            auto sealed, ExtractItems(request.session_id, request.items, span));
+        wire::KeyBatchResponse response;
+        response.items.resize(sealed.size());
+        for (size_t i = 0; i < sealed.size(); ++i) {
+          wire::KeyBatchResponse::Item& item = response.items[i];
+          item.ok = sealed[i].ok();
+          item.payload = item.ok ? std::move(sealed[i]).value()
+                                 : util::BytesFromString(
+                                       sealed[i].status().ToString());
+        }
+        return response;
+      });
 }
 
 ibe::IbePrivateKey PkgService::ExtractForIdentity(
@@ -292,32 +248,10 @@ ibe::IbePrivateKey PkgService::ExtractForIdentity(
 }
 
 void PkgService::RegisterEndpoints(wire::InProcessTransport* transport) {
-  transport->Register(
-      "pkg.auth",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::PkgAuthRequest request,
-                             wire::PkgAuthRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::PkgAuthResponse response,
-                             Authenticate(request));
-        return response.Encode();
-      });
-  transport->Register(
-      "pkg.extract",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::KeyRequest request,
-                             wire::KeyRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::KeyResponse response, ExtractKey(request));
-        return response.Encode();
-      });
-  transport->Register(
-      "pkg.extract_batch",
-      [this](const util::Bytes& raw) -> util::Result<util::Bytes> {
-        MWS_ASSIGN_OR_RETURN(wire::KeyBatchRequest request,
-                             wire::KeyBatchRequest::Decode(raw));
-        MWS_ASSIGN_OR_RETURN(wire::KeyBatchResponse response,
-                             ExtractKeyBatch(request));
-        return response.Encode();
-      });
+  transport->RegisterMethod("pkg.auth", this, &PkgService::Authenticate);
+  transport->RegisterMethod("pkg.extract", this, &PkgService::ExtractKey);
+  transport->RegisterMethod("pkg.extract_batch", this,
+                            &PkgService::ExtractKeyBatch);
 }
 
 }  // namespace mws::pkg

@@ -2,11 +2,15 @@
 #define MWSIBE_PKG_PKG_SERVICE_H_
 
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/crypto/block_cipher.h"
 #include "src/ibe/bf_ibe.h"
 #include "src/obs/metrics.h"
+#include "src/obs/op.h"
 #include "src/obs/trace.h"
 #include "src/util/clock.h"
 #include "src/util/random.h"
@@ -78,7 +82,8 @@ class PkgService {
       const wire::PkgAuthRequest& request);
 
   /// Extracts sI for one (AID, Nonce) pair; the key travels encrypted
-  /// under the RC<->PKG session key.
+  /// under the RC<->PKG session key. A batch of one through the
+  /// ExtractKeyBatch core; the item's own Status is returned on refusal.
   util::Result<wire::KeyResponse> ExtractKey(const wire::KeyRequest& request);
 
   /// Batched extraction: one round trip for many (AID, Nonce) pairs;
@@ -106,19 +111,17 @@ class PkgService {
  private:
   util::Result<PkgSession> GetSession(const util::Bytes& session_id) const;
 
-  /// Per-op instrument triple; all null when metrics are disabled.
-  struct OpInstruments {
-    obs::Counter* requests = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Histogram* latency = nullptr;
-  };
-  OpInstruments ResolveOp(const char* op);
-
-  /// Core of both extraction paths: resolve the AID through the
-  /// session's ticket, extract, seal under the session channel key.
-  util::Result<util::Bytes> ExtractSealed(const PkgSession& session,
-                                          uint64_t aid,
-                                          const util::Bytes& nonce);
+  /// Core of ExtractKey and ExtractKeyBatch: resolves each (AID, nonce)
+  /// through the session's ticket, extracts every authorized key in one
+  /// BfIbe::ExtractBatch (one shared field inversion for all affine
+  /// normalizations), and seals each under the session's key-delivery
+  /// channel. One sealed key or refusal per item, in order; an AID not
+  /// in the ticket refuses that item only. Fails whole only when the
+  /// session is unknown or expired.
+  util::Result<std::vector<util::Result<util::Bytes>>> ExtractItems(
+      const util::Bytes& session_id,
+      std::span<const std::pair<uint64_t, util::Bytes>> items,
+      obs::Span& span);
 
   ibe::BfIbe ibe_;
   ibe::SystemParams params_;
@@ -135,9 +138,9 @@ class PkgService {
   mutable util::TtlStore<PkgSession> sessions_;
   util::ReplayCache replay_;
 
-  OpInstruments auth_obs_;
-  OpInstruments extract_obs_;
-  OpInstruments batch_obs_;
+  obs::OpInstruments auth_obs_;
+  obs::OpInstruments extract_obs_;
+  obs::OpInstruments batch_obs_;
   obs::Counter* batch_items_counter_ = nullptr;
   obs::Gauge* sessions_gauge_ = nullptr;
   obs::Gauge* replay_gauge_ = nullptr;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <set>
+#include <map>
 
 #include "src/util/hex.h"
 #include "src/util/serde.h"
@@ -142,63 +142,22 @@ util::Result<uint64_t> MessageDb::Append(const StoredMessage& message) {
 
 util::Result<MessageDb::AppendOutcome> MessageDb::AppendDeduped(
     const StoredMessage& message) {
-  if (message.device_id.empty() || message.nonce.empty()) {
-    MWS_ASSIGN_OR_RETURN(uint64_t id, Append(message));
-    return AppendOutcome{id, false};
-  }
-  const std::string dedup_key = DedupKey(message.device_id, message.nonce);
-  StoredMessage stored = message;
-  stored.id = 0;
-
-  auto marker = table_->Get(dedup_key);
-  if (marker.ok()) {
-    uint64_t reserved = 0;
-    util::Reader r(marker.value());
-    if (r.GetU64(&reserved) && r.Done() && reserved > 0) {
-      // Completeness check over every key the append writes: the
-      // retransmit carries identical fields, so the keys reconstruct
-      // exactly. All present -> pure retransmit, nothing to do.
-      if (table_->Contains(MessageKey(reserved)) &&
-          table_->Contains(IndexKey(stored.attribute, reserved)) &&
-          table_->Contains(TimeIndexKey(stored.attribute,
-                                        stored.timestamp_micros, reserved))) {
-        dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (dedup_counter_ != nullptr) dedup_counter_->Increment();
-        return AppendOutcome{reserved, true};
-      }
-      // A torn earlier attempt: resume the reserved id and rewrite the
-      // same keys (idempotent), so the partial records already visible
-      // complete instead of duplicating under a fresh id.
-      stored.id = reserved;
-    }
-  }
-  if (stored.id == 0) {
-    stored.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    // Reserve before writing anything else: if any later write fails
-    // the retry finds the marker and resumes this id.
-    util::Writer w;
-    w.PutU64(stored.id);
-    MWS_RETURN_IF_ERROR(table_->Put(dedup_key, w.Take()));
-  }
-  MWS_RETURN_IF_ERROR(WriteRecords(stored));
-  if (appends_counter_ != nullptr) appends_counter_->Increment();
-  return AppendOutcome{stored.id, false};
+  MWS_ASSIGN_OR_RETURN(std::vector<AppendOutcome> outcomes,
+                       AppendDedupedBatch({&message, 1}));
+  return outcomes.front();
 }
 
 util::Result<std::vector<MessageDb::AppendOutcome>>
-MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
+MessageDb::AppendDedupedBatch(std::span<const StoredMessage> messages) {
   std::vector<AppendOutcome> outcomes(messages.size());
   // Classification pass: decide every message's id before writing
-  // anything, mirroring what sequential AppendDeduped calls would do.
+  // anything, as appending the messages one at a time in order would.
   // `batch_assigned` maps dedup keys claimed earlier in this batch so an
   // intra-batch retransmit resolves to the first occurrence's id — by the
   // time a sequential run reached it, the first copy's records would be
   // fully written and it would dedup.
   std::map<std::string, uint64_t> batch_assigned;
-  struct Pending {
-    StoredMessage stored;
-  };
-  std::vector<Pending> to_write;
+  std::vector<StoredMessage> to_write;
   std::vector<std::pair<std::string, util::Bytes>> fresh_markers;
   size_t dedup_count = 0;
 
@@ -209,7 +168,7 @@ MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
       // Non-dedupable message: plain Append semantics, no marker.
       stored.id = next_id_.fetch_add(1, std::memory_order_relaxed);
       outcomes[i] = AppendOutcome{stored.id, false};
-      to_write.push_back(Pending{std::move(stored)});
+      to_write.push_back(std::move(stored));
       continue;
     }
     const std::string dedup_key = DedupKey(stored.device_id, stored.nonce);
@@ -228,6 +187,9 @@ MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
     }
     if (reserved != 0) {
       batch_assigned[dedup_key] = reserved;
+      // Completeness check over every key the append writes: the
+      // retransmit carries identical fields, so the keys reconstruct
+      // exactly. All present -> pure retransmit, nothing to do.
       if (table_->Contains(MessageKey(reserved)) &&
           table_->Contains(IndexKey(stored.attribute, reserved)) &&
           table_->Contains(TimeIndexKey(stored.attribute,
@@ -236,7 +198,9 @@ MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
         ++dedup_count;
         continue;
       }
-      // Torn earlier attempt: resume the reserved id, rewrite its keys.
+      // Torn earlier attempt: resume the reserved id and rewrite the
+      // same keys (idempotent), so the partial records already visible
+      // complete instead of duplicating under a fresh id.
       stored.id = reserved;
     } else {
       stored.id = next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -246,7 +210,7 @@ MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
       fresh_markers.emplace_back(dedup_key, w.Take());
     }
     outcomes[i] = AppendOutcome{stored.id, false};
-    to_write.push_back(Pending{std::move(stored)});
+    to_write.push_back(std::move(stored));
   }
 
   // Phase 1: reserve every fresh id before any message record exists —
@@ -260,14 +224,14 @@ MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
   std::vector<std::pair<std::string, util::Bytes>> records;
   records.reserve(to_write.size() * 3);
   uint64_t max_id = 0;
-  for (const Pending& p : to_write) {
-    records.emplace_back(MessageKey(p.stored.id), p.stored.Encode());
-    records.emplace_back(IndexKey(p.stored.attribute, p.stored.id),
+  for (const StoredMessage& stored : to_write) {
+    records.emplace_back(MessageKey(stored.id), stored.Encode());
+    records.emplace_back(IndexKey(stored.attribute, stored.id),
                          util::Bytes{});
-    records.emplace_back(TimeIndexKey(p.stored.attribute,
-                                      p.stored.timestamp_micros, p.stored.id),
-                         util::Bytes{});
-    max_id = std::max(max_id, p.stored.id);
+    records.emplace_back(
+        TimeIndexKey(stored.attribute, stored.timestamp_micros, stored.id),
+        util::Bytes{});
+    max_id = std::max(max_id, stored.id);
   }
   if (!records.empty()) {
     MWS_RETURN_IF_ERROR(table_->PutBatch(records));
@@ -330,36 +294,6 @@ util::Result<std::vector<StoredMessage>> MessageDb::FindByAttributeAfter(
     MWS_ASSIGN_OR_RETURN(StoredMessage m, Get(id));
     out.push_back(std::move(m));
   }
-  return out;
-}
-
-util::Result<std::vector<StoredMessage>> MessageDb::FindByAttributeInTimeRange(
-    const std::string& attribute, int64_t from_micros,
-    int64_t to_micros) const {
-  std::vector<StoredMessage> out;
-  for (uint64_t id :
-       IdsByAttributeInTimeRange(attribute, from_micros, to_micros)) {
-    MWS_ASSIGN_OR_RETURN(StoredMessage m, Get(id));
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
-util::Result<std::vector<StoredMessage>> MessageDb::FindByAttributes(
-    const std::vector<std::string>& attributes) const {
-  std::set<uint64_t> seen;
-  std::vector<StoredMessage> out;
-  for (const std::string& attribute : attributes) {
-    MWS_ASSIGN_OR_RETURN(std::vector<StoredMessage> batch,
-                         FindByAttribute(attribute));
-    for (auto& m : batch) {
-      if (seen.insert(m.id).second) out.push_back(std::move(m));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StoredMessage& a, const StoredMessage& b) {
-              return a.id < b.id;
-            });
   return out;
 }
 

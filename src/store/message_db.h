@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,21 +65,22 @@ class MessageDb {
   /// same keys (idempotent) instead of allocating a fresh id — no
   /// duplicate ever becomes visible through the indexes. Assumes one
   /// client retries a given (device, nonce) serially, which the
-  /// store-and-forward device model guarantees.
+  /// store-and-forward device model guarantees. A batch of one through
+  /// AppendDedupedBatch.
   util::Result<AppendOutcome> AppendDeduped(const StoredMessage& message);
 
-  /// Batched AppendDeduped: same per-message outcomes as calling
-  /// AppendDeduped sequentially (including intra-batch retransmits, which
-  /// dedup against the first occurrence), but the table work is grouped
-  /// into two PutBatch calls — all fresh dedup markers first, then every
-  /// message/index record — so a KvStore backend takes each shard lock
-  /// once per batch instead of once per key. Marker-first ordering holds
-  /// batch-wide, so a crash between the phases is recovered exactly like
-  /// a torn single-shot append: the retry resumes the reserved ids. A
-  /// storage failure fails the whole call; retrying the batch is safe
-  /// (at-least-once, absorbed by the markers).
+  /// Batched AppendDeduped: one outcome per message, as if each were
+  /// appended in order (an intra-batch retransmit dedups against its
+  /// first occurrence), but the table work is grouped into two PutBatch
+  /// calls — all fresh dedup markers first, then every message/index
+  /// record — so a KvStore backend takes each shard lock once per batch
+  /// instead of once per key. Marker-first ordering holds batch-wide, so
+  /// a crash between the phases is recovered like any torn append: the
+  /// retry resumes the reserved ids. A storage failure fails the whole
+  /// call; retrying the batch is safe (at-least-once, absorbed by the
+  /// markers).
   util::Result<std::vector<AppendOutcome>> AppendDedupedBatch(
-      const std::vector<StoredMessage>& messages);
+      std::span<const StoredMessage> messages);
 
   /// Retransmissions absorbed by AppendDeduped.
   uint64_t dedup_hits() const {
@@ -91,20 +93,9 @@ class MessageDb {
   util::Result<std::vector<StoredMessage>> FindByAttribute(
       const std::string& attribute) const;
 
-  /// Union over several attributes, deduplicated, in id order.
-  util::Result<std::vector<StoredMessage>> FindByAttributes(
-      const std::vector<std::string>& attributes) const;
-
   /// Messages with id > `after_id` for one attribute (incremental fetch).
   util::Result<std::vector<StoredMessage>> FindByAttributeAfter(
       const std::string& attribute, uint64_t after_id) const;
-
-  /// Messages for one attribute with timestamp in [from, to) — billing
-  /// periods, the paper's motivating query. Served by a timestamp
-  /// secondary index, not a scan. Pre: timestamps are non-negative.
-  util::Result<std::vector<StoredMessage>> FindByAttributeInTimeRange(
-      const std::string& attribute, int64_t from_micros,
-      int64_t to_micros) const;
 
   /// Ids (only) with id > after_id for one attribute, in id order. A
   /// key-only index walk: no message value is materialized, so chunked
@@ -112,7 +103,10 @@ class MessageDb {
   std::vector<uint64_t> IdsByAttributeAfter(const std::string& attribute,
                                             uint64_t after_id) const;
 
-  /// Ids (only) for one attribute with timestamp in [from, to).
+  /// Ids (only) for one attribute with timestamp in [from, to) —
+  /// billing periods, the paper's motivating query. Served by a
+  /// timestamp secondary index, not a scan. Pre: timestamps are
+  /// non-negative.
   std::vector<uint64_t> IdsByAttributeInTimeRange(const std::string& attribute,
                                                   int64_t from_micros,
                                                   int64_t to_micros) const;

@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/util/bytes.h"
 #include "src/util/result.h"
+#include "src/wire/messages.h"
 #include "src/wire/transport.h"
 
 namespace mws::wire {
@@ -151,6 +152,17 @@ class ShardRouter : public Transport {
   util::Result<util::Bytes> Auth(const util::Bytes& request);
   util::Result<util::Bytes> Retrieve(const util::Bytes& request);
   util::Result<util::Bytes> RetrieveChunk(const util::Bytes& request);
+
+  /// The fan-out/merge behind both retrieval endpoints: per-shard
+  /// sessions and cursors, router-id remap, ascending merge trimmed to
+  /// `max_messages`. Retrieve runs it with an unbounded budget.
+  /// `chunked` picks the shard endpoint (mws.retrieve_chunk vs
+  /// mws.retrieve), so each client endpoint reaches the shards as
+  /// itself.
+  util::Result<RetrieveChunkResponse> FanOutRetrieve(
+      const RetrieveChunkRequest& request, bool chunked);
+  util::Result<RetrieveChunkResponse> RetrieveFromShard(
+      size_t shard, const RetrieveChunkRequest& sub, bool chunked);
 
   util::Result<util::Bytes> CallShard(size_t shard,
                                       const std::string& endpoint,

@@ -66,6 +66,25 @@ class InProcessTransport : public Transport {
   /// (the handler map is read lock-free on the hot path).
   void Register(const std::string& endpoint, Handler handler);
 
+  /// Registers a typed service method: the handler decodes the request
+  /// with `Request::Decode`, calls `(service->*method)`, and encodes the
+  /// response. A decode or method error is returned unchanged, so the
+  /// caller sees the method's own Status. `service` must outlive the
+  /// transport's use.
+  template <typename Service, typename Request, typename Response>
+  void RegisterMethod(const std::string& endpoint, Service* service,
+                      util::Result<Response> (Service::*method)(
+                          const Request&)) {
+    Register(endpoint,
+             [service, method](
+                 const util::Bytes& raw) -> util::Result<util::Bytes> {
+               MWS_ASSIGN_OR_RETURN(Request request, Request::Decode(raw));
+               MWS_ASSIGN_OR_RETURN(Response response,
+                                    (service->*method)(request));
+               return response.Encode();
+             });
+  }
+
   util::Result<util::Bytes> Call(const std::string& endpoint,
                                  const util::Bytes& request) override;
 

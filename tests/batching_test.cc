@@ -433,6 +433,68 @@ TEST(BulkRetrieveTest, FetchAndDecryptBulkMatchesFetchAndDecrypt) {
 }
 
 // ---------------------------------------------------------------------
+// One stage vocabulary per operation
+
+TEST(BatchTraceTest, SingleShotAndBatchRootsEmitTheSameStages) {
+  // A single-shot call runs its batch sibling's core on one item, so
+  // both roots must carry the same child spans in the same order.
+  auto scenario = sim::UtilityScenario::Create(SmallOptions()).value();
+  obs::Tracer* tracer = scenario->tracer();
+  ASSERT_NE(tracer, nullptr);
+  client::SmartDevice& device = scenario->devices().front();
+  auto build = [&](const std::string& payload) {
+    auto request = device.BuildDeposit(sim::UtilityScenario::kElectricAttr,
+                                       BytesFromString(payload));
+    EXPECT_TRUE(request.ok()) << request.status();
+    return std::move(request).value();
+  };
+
+  ASSERT_TRUE(scenario->mws().Deposit(build("single")).ok());
+  wire::DepositBatchRequest batch;
+  batch.items = {build("batch-0"), build("batch-1")};
+  ASSERT_TRUE(scenario->mws().DepositBatch(batch).ok());
+
+  client::ReceivingClient& rc =
+      scenario->company(sim::UtilityScenario::kCServices);
+  ASSERT_TRUE(rc.Authenticate().ok());
+  auto whole = rc.Retrieve();
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  ASSERT_FALSE(whole->messages.empty());
+  auto chunk = rc.RetrieveChunk(0, 0, 0, /*max_messages=*/64);
+  ASSERT_TRUE(chunk.ok()) << chunk.status();
+  ASSERT_FALSE(chunk->has_more);
+
+  ASSERT_TRUE(rc.AuthenticateWithPkg(whole->token).ok());
+  const wire::RetrievedMessage& m = whole->messages.front();
+  ASSERT_TRUE(rc.RequestKey(m.aid, m.nonce).ok());
+  auto keys = rc.RequestKeysBatch({{m.aid, m.nonce}});
+  ASSERT_TRUE(keys.ok()) << keys.status();
+
+  // Child names under the most recent root called `root`.
+  const std::vector<obs::SpanRecord> spans = tracer->Snapshot();
+  auto stages = [&](const std::string& root) {
+    uint64_t root_id = 0;
+    for (const obs::SpanRecord& s : spans) {
+      if (s.parent_id == 0 && s.name == root) root_id = s.span_id;
+    }
+    EXPECT_NE(root_id, 0u) << root;
+    std::vector<std::string> names;
+    for (const obs::SpanRecord& s : spans) {
+      if (root_id != 0 && s.parent_id == root_id) names.push_back(s.name);
+    }
+    return names;
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(stages("mws.deposit"), (Names{"sda.verify", "md.append"}));
+  EXPECT_EQ(stages("mws.deposit_batch"), stages("mws.deposit"));
+  EXPECT_EQ(stages("mws.retrieve"),
+            (Names{"gatekeeper.session", "mms.fetch", "tg.token"}));
+  EXPECT_EQ(stages("mws.retrieve_chunk"), stages("mws.retrieve"));
+  EXPECT_EQ(stages("pkg.extract"), (Names{"ibe.extract_seal"}));
+  EXPECT_EQ(stages("pkg.extract_batch"), stages("pkg.extract"));
+}
+
+// ---------------------------------------------------------------------
 // Pipelined transport
 
 TEST(PipelinedTransportTest, EchoRoundTrip) {

@@ -109,6 +109,9 @@ TEST_F(MwsServiceTest, DepositRequiresValidAttribute) {
   request.timestamp_micros = clock_.NowMicros();
   request.mac = crypto::HmacSha256(mac_key, request.AuthenticatedBytes());
   EXPECT_TRUE(service_.Deposit(request).status().IsInvalidArgument());
+  EXPECT_EQ(service_.Deposit(request).status(),
+            util::Status::InvalidArgument(
+                "attribute may contain only A-Z, 0-9, '-', '_', '.'"));
 }
 
 TEST_F(MwsServiceTest, GatekeeperSessionLifecycle) {
@@ -292,12 +295,15 @@ TEST_F(MwsServiceTest, MmsResolvesGrantsPerFetch) {
   request.mac = crypto::HmacSha256(mac_key, request.AuthenticatedBytes());
   ASSERT_TRUE(service_.Deposit(request).ok());
 
-  auto visible = service_.mms().FetchFor("RC1", 0).value();
+  auto visible =
+      service_.mms().FetchChunkFor("RC1", 0, 0, 0, UINT32_MAX)->messages;
   ASSERT_EQ(visible.size(), 1u);
   EXPECT_EQ(visible[0].aid, service_.PolicyTable().value()[0].aid);
 
   ASSERT_TRUE(service_.RevokeAttribute("RC1", "A1").ok());
-  EXPECT_TRUE(service_.mms().FetchFor("RC1", 0).value().empty());
+  EXPECT_TRUE(service_.mms()
+                  .FetchChunkFor("RC1", 0, 0, 0, UINT32_MAX)
+                  ->messages.empty());
 }
 
 }  // namespace

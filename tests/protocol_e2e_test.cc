@@ -121,16 +121,26 @@ TEST_F(ProtocolE2eTest, TamperedDepositRejected) {
   auto result = s_->mws().Deposit(tampered);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnauthenticated());
+  // The full status (code and message) is what the endpoint puts on the
+  // wire.
+  const util::Status bad_mac =
+      util::Status::Unauthenticated("deposit MAC verification failed");
+  EXPECT_EQ(result.status(), bad_mac);
+  EXPECT_EQ(s_->transport().Call("mws.deposit", tampered.Encode()).status(),
+            bad_mac);
 
   // Retarget the attribute (access-control bypass attempt): rejected.
   tampered = request.value();
   tampered.attribute = UtilityScenario::kWaterAttr;
   EXPECT_TRUE(s_->mws().Deposit(tampered).status().IsUnauthenticated());
+  EXPECT_EQ(s_->mws().Deposit(tampered).status(), bad_mac);
 
   // Spoofed device id: rejected.
   tampered = request.value();
   tampered.device_id = "GHOST-METER-9";
   EXPECT_TRUE(s_->mws().Deposit(tampered).status().IsUnauthenticated());
+  EXPECT_EQ(s_->transport().Call("mws.deposit", tampered.Encode()).status(),
+            util::Status::Unauthenticated("unknown device: GHOST-METER-9"));
 
   // The untampered original is accepted.
   EXPECT_TRUE(s_->mws().Deposit(request.value()).ok());
@@ -144,6 +154,12 @@ TEST_F(ProtocolE2eTest, StaleDepositTimestampRejected) {
   // Advance simulated time beyond the freshness window.
   s_->clock().AdvanceMicros(s_->mws().options().freshness_window_micros + 1);
   EXPECT_TRUE(s_->mws().Deposit(request.value()).status().IsUnauthenticated());
+  const util::Status stale =
+      util::Status::Unauthenticated("stale deposit timestamp");
+  EXPECT_EQ(s_->mws().Deposit(request.value()).status(), stale);
+  EXPECT_EQ(
+      s_->transport().Call("mws.deposit", request.value().Encode()).status(),
+      stale);
 }
 
 // --- Threat-model invariant: confidentiality against the MWS ---
@@ -261,6 +277,9 @@ TEST_F(ProtocolE2eTest, RevokedAidRejectedByPkgWithFreshTicket) {
   auto key = rc.RequestKey(m.aid, m.nonce);
   EXPECT_FALSE(key.ok());
   EXPECT_EQ(key.status().code(), util::StatusCode::kPermissionDenied);
+  EXPECT_EQ(key.status(),
+            util::Status::PermissionDenied("AID not authorized by ticket: " +
+                                           std::to_string(m.aid)));
 }
 
 // --- Gatekeeper and PKG authentication failures ---
@@ -287,6 +306,11 @@ TEST_F(ProtocolE2eTest, RetrieveWithoutSessionRejected) {
   wire::RetrieveRequest request;
   request.session_id = BytesFromString("bogus-session-16");
   EXPECT_FALSE(s_->mws().Retrieve(request).ok());
+  const util::Status unknown =
+      util::Status::Unauthenticated("unknown MWS session");
+  EXPECT_EQ(s_->mws().Retrieve(request).status(), unknown);
+  EXPECT_EQ(s_->transport().Call("mws.retrieve", request.Encode()).status(),
+            unknown);
 }
 
 TEST_F(ProtocolE2eTest, ReplayedRcAuthRejected) {
@@ -340,6 +364,11 @@ TEST_F(ProtocolE2eTest, KeyRequestWithoutPkgSessionRejected) {
   request.aid = 1;
   request.nonce = Bytes(16, 0);
   EXPECT_FALSE(s_->pkg().ExtractKey(request).ok());
+  const util::Status unknown =
+      util::Status::Unauthenticated("unknown PKG session");
+  EXPECT_EQ(s_->pkg().ExtractKey(request).status(), unknown);
+  EXPECT_EQ(s_->transport().Call("pkg.extract", request.Encode()).status(),
+            unknown);
 }
 
 // --- Cross-company isolation ---

@@ -300,16 +300,6 @@ TEST_F(MessageDbTest, AttributePrefixesDoNotCollide) {
   EXPECT_EQ(db_.FindByAttribute("A10").value().size(), 1u);
 }
 
-TEST_F(MessageDbTest, FindByAttributesUnionDeduplicated) {
-  db_.Append(Make("A1", "m1")).value();
-  db_.Append(Make("A2", "m2")).value();
-  db_.Append(Make("A3", "m3")).value();
-  auto rows = db_.FindByAttributes({"A1", "A3", "A1"}).value();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].id, 1u);
-  EXPECT_EQ(rows[1].id, 3u);
-}
-
 TEST_F(MessageDbTest, IncrementalFetchAfterId) {
   db_.Append(Make("A1", "m1")).value();
   db_.Append(Make("A1", "m2")).value();
@@ -344,25 +334,28 @@ TEST_F(MessageDbTest, TimeRangeQueries) {
     db_.Append(make_at(day * 86'400'000'000ll)).value();
   }
   // Billing period: days [10, 25).
-  auto period = db_.FindByAttributeInTimeRange(
-      "A1", 10 * 86'400'000'000ll, 25 * 86'400'000'000ll);
-  ASSERT_TRUE(period.ok());
-  ASSERT_EQ(period->size(), 3u);
+  auto period = db_.IdsByAttributeInTimeRange("A1", 10 * 86'400'000'000ll,
+                                              25 * 86'400'000'000ll);
+  ASSERT_EQ(period.size(), 3u);
   // Results come back in timestamp order.
-  EXPECT_EQ(period->at(0).timestamp_micros, 10 * 86'400'000'000ll);
-  EXPECT_EQ(period->at(1).timestamp_micros, 15 * 86'400'000'000ll);
-  EXPECT_EQ(period->at(2).timestamp_micros, 20 * 86'400'000'000ll);
+  EXPECT_EQ(db_.Get(period[0])->timestamp_micros, 10 * 86'400'000'000ll);
+  EXPECT_EQ(db_.Get(period[1])->timestamp_micros, 15 * 86'400'000'000ll);
+  EXPECT_EQ(db_.Get(period[2])->timestamp_micros, 20 * 86'400'000'000ll);
   // Bounds: inclusive lower, exclusive upper.
-  auto exact = db_.FindByAttributeInTimeRange(
-      "A1", 5 * 86'400'000'000ll, 5 * 86'400'000'000ll + 1);
-  EXPECT_EQ(exact->size(), 1u);
+  auto exact = db_.IdsByAttributeInTimeRange("A1", 5 * 86'400'000'000ll,
+                                             5 * 86'400'000'000ll + 1);
+  ASSERT_EQ(exact.size(), 1u);
+  EXPECT_EQ(db_.Get(exact[0])->timestamp_micros, 5 * 86'400'000'000ll);
+  EXPECT_TRUE(db_.IdsByAttributeInTimeRange("A1", 10 * 86'400'000'000ll - 1,
+                                            10 * 86'400'000'000ll)
+                  .empty());
   // Empty and inverted ranges.
-  EXPECT_TRUE(db_.FindByAttributeInTimeRange("A1", 40, 50)->empty());
-  EXPECT_TRUE(db_.FindByAttributeInTimeRange("A1", 50, 40)->empty());
+  EXPECT_TRUE(db_.IdsByAttributeInTimeRange("A1", 40, 50).empty());
+  EXPECT_TRUE(db_.IdsByAttributeInTimeRange("A1", 50, 40).empty());
   // Other attributes unaffected.
   EXPECT_TRUE(
-      db_.FindByAttributeInTimeRange("A2", 0, 100ll * 86'400'000'000ll)
-          ->empty());
+      db_.IdsByAttributeInTimeRange("A2", 0, 100ll * 86'400'000'000ll)
+          .empty());
 }
 
 // --- PolicyDb: reproduces the paper's Table 1 exactly ---
